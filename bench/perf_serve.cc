@@ -4,22 +4,22 @@
 //      same corpus, so the snapshot speedup is tracked in the perf
 //      trajectory (DESIGN.md §4g).
 //   2. Closed-loop TCP loadgen: N client connections issue a fixed what-if
-//      request mix back-to-back against a live Server and report p50/p99
-//      end-to-end latency — once with the result cache enabled and once
-//      disabled (the cache-hit ablation).
+//      request mix back-to-back against a live ReactorServer and report
+//      p50/p99 end-to-end latency — once with the result cache enabled and
+//      once disabled (the cache-hit ablation).
 //   3. Overload shedding: a deliberately tiny admission bound under the same
 //      loadgen must produce `overloaded` responses (bounded queues shedding
 //      load) rather than unbounded buffering.
-//   4. Reactor vs threaded (the BENCH_serve_slo leg):
-//        a. byte equivalence — a fixed scripted request sequence must produce
-//           identical response bytes from the threaded server, the reactor
-//           with batching, and the reactor without (exit non-zero on any
-//           mismatch);
-//        b. connection ceiling — admitted-connection probe; the reactor must
-//           carry >= 4x the threaded server's default ceiling (exit non-zero
-//           if not: this gate is count-based, so sanitizer legs keep it);
-//        c. open-loop SLO curves — load::FindMaxSustainableRps per server
-//           flavor, recorded (not gated: sanitizers distort timing).
+//   4. The BENCH_serve_slo leg:
+//        a. byte equivalence — a fixed scripted request sequence pipelined
+//           down one connection must produce exactly the bytes of the same
+//           lines run one by one through QueryService::Handle on a fresh
+//           service (exit non-zero on any mismatch);
+//        b. connection ceiling — every one of 280 held-open connections must
+//           be admitted under the default cap (exit non-zero if not: this
+//           gate is count-based, so sanitizer legs keep it);
+//        c. open-loop SLO curve — load::FindMaxSustainableRps, recorded (not
+//           gated: sanitizers distort timing).
 //
 // --smoke shrinks everything for CI (seconds of work); its JSON run report
 // (--json=BENCH_serve_slo-<leg>.json in CI) is the artifact the serve job
@@ -40,7 +40,6 @@
 #include "load/loadgen.h"
 #include "serve/epoch.h"
 #include "serve/reactor.h"
-#include "serve/server.h"
 #include "serve/service.h"
 #include "topology/serialization.h"
 #include "util/stats.h"
@@ -190,9 +189,8 @@ std::string FetchTranscript(int port, const std::string& script) {
 }
 
 // Opens connections one at a time (held open), issuing a health query on
-// each; returns how many were admitted (answered ok). Over-ceiling accepts
-// answer `overloaded` (threaded) or close silently (reactor) — either way
-// they don't count.
+// each; returns how many were admitted (answered ok). An over-cap accept is
+// closed without a response and does not count.
 std::size_t ProbeConnectionCeiling(int port, std::size_t attempts) {
   std::vector<int> held;
   held.reserve(attempts);
@@ -383,7 +381,9 @@ int main(int argc, char** argv) {
     serve::QueryService service(snapshot.Graph(), snapshot.Policy(),
                                 service_options);
     service.WarmBaselines(snapshot.Baselines());
-    serve::Server server(&service, e.Pool(), serve::ServerOptions{});
+    serve::EpochManager epochs;
+    epochs.Install(serve::MakeUnownedEpoch(&service));
+    serve::ReactorServer server(&epochs, e.Pool());
     err = server.Start();
     if (!err.empty()) {
       std::fprintf(stderr, "error starting server: %s\n", err.c_str());
@@ -423,9 +423,11 @@ int main(int argc, char** argv) {
     serve::QueryService service(snapshot.Graph(), snapshot.Policy(),
                                 service_options);
     service.WarmBaselines(snapshot.Baselines());
-    serve::ServerOptions server_options;
+    serve::EpochManager epochs;
+    epochs.Install(serve::MakeUnownedEpoch(&service));
+    serve::ReactorOptions server_options;
     server_options.max_inflight = 1;  // deliberately tiny admission bound
-    serve::Server server(&service, e.Pool(), server_options);
+    serve::ReactorServer server(&epochs, e.Pool(), server_options);
     err = server.Start();
     if (!err.empty()) {
       std::fprintf(stderr, "error starting server: %s\n", err.c_str());
@@ -442,17 +444,11 @@ int main(int argc, char** argv) {
 
   e.PrintTable(table);
 
-  // ---- Phase 4: reactor vs threaded (byte equivalence, connection ceiling,
-  // open-loop SLO curves). ---------------------------------------------------
+  // ---- Phase 4: byte equivalence, connection ceiling, open-loop SLO curve.
   int exit_code = 0;
-  struct Flavor {
-    const char* name;
-    bool reactor;
-    bool batch;
-  };
-  const Flavor kFlavors[] = {{"threaded", false, false},
-                             {"reactor-batch", true, true},
-                             {"reactor-nobatch", true, false}};
+  const bool smoke = e.Flags().GetBool("smoke");
+  serve::ServiceOptions phase4_options;
+  phase4_options.cache_capacity = 4096;
 
   // 4a. Byte equivalence on a fixed scripted sequence. The script excludes
   // `stats` (uptime varies) — everything else must match byte-for-byte.
@@ -460,111 +456,84 @@ int main(int argc, char** argv) {
   script_options.seed = 42;
   script_options.as_count = static_cast<std::uint32_t>(graph.NumAses());
   script_options.mix = "impact:50,route:25,detect:15,defense:5,health:5";
-  const std::string script = load::Workload(script_options)
-                                 .Script(e.Flags().GetBool("smoke") ? 160 : 400);
+  const std::size_t script_lines = smoke ? 160 : 400;
+  const load::Workload workload(script_options);
+  const std::string script = workload.Script(script_lines);
+  // The reference: the same lines, one Handle call each, on a service that
+  // starts as cold as the served one (health reports baseline counts).
+  std::string expected;
+  {
+    serve::QueryService reference(snapshot.Graph(), snapshot.Policy(),
+                                  phase4_options);
+    reference.WarmBaselines(snapshot.Baselines());
+    for (std::size_t i = 0; i < script_lines; ++i) {
+      expected += reference.Handle(workload.Line(i)) + "\n";
+    }
+  }
 
-  std::vector<std::string> transcripts;
-  util::Table slo_table({"mode", "admitted_conns", "max_sustainable_rps",
-                         "p50_us", "p99_us", "p999_us"});
-  const std::size_t ceiling_attempts = 280;  // > 4x the threaded default (64)
+  serve::QueryService phase4_service(snapshot.Graph(), snapshot.Policy(),
+                                     phase4_options);
+  phase4_service.WarmBaselines(snapshot.Baselines());
+  serve::EpochManager epochs;
+  epochs.Install(serve::MakeUnownedEpoch(&phase4_service));
+  serve::ReactorServer server(&epochs, e.Pool());
+  err = server.Start();
+  if (!err.empty()) {
+    std::fprintf(stderr, "error starting server: %s\n", err.c_str());
+    return 1;
+  }
+  const int port = server.Port();
+  const std::string transcript = FetchTranscript(port, script);
+
+  // 4b. Connection ceiling: every attempt fits under the default cap.
+  const std::size_t ceiling_attempts = 280;
+  const std::size_t admitted = ProbeConnectionCeiling(port, ceiling_attempts);
+
+  // 4c. Open-loop SLO curve.
   load::LoadGenOptions lg;
+  lg.port = static_cast<std::uint16_t>(port);
   lg.connections = 8;
-  lg.duration_ms = e.Flags().GetBool("smoke") ? 500 : 1500;
+  lg.duration_ms = smoke ? 500 : 1500;
   lg.workload.as_count = static_cast<std::uint32_t>(graph.NumAses());
   load::SloTarget slo;
   slo.p99_ms = 50.0;
-  const double start_rps = 100.0;
-  const double max_rps = e.Flags().GetBool("smoke") ? 1600.0 : 12800.0;
-  const int refine = e.Flags().GetBool("smoke") ? 1 : 3;
+  const load::SweepResult sweep = load::FindMaxSustainableRps(
+      lg, slo, /*start_rps=*/100.0, /*max_rps=*/smoke ? 1600.0 : 12800.0,
+      /*refine_steps=*/smoke ? 1 : 3);
+  server.Stop();
 
-  std::size_t threaded_admitted = 0;
-  for (const Flavor& flavor : kFlavors) {
-    // Every flavor serves from an identical cold start — same snapshot, fresh
-    // service and caches — so the transcripts (health reports baseline
-    // counts) and the SLO curves are comparable.
-    serve::ServiceOptions phase4_options;
-    phase4_options.cache_capacity = 4096;
-    serve::QueryService phase4_service(snapshot.Graph(), snapshot.Policy(),
-                                       phase4_options);
-    phase4_service.WarmBaselines(snapshot.Baselines());
-    serve::EpochManager epochs;
-    epochs.Install(serve::MakeUnownedEpoch(&phase4_service));
-
-    std::unique_ptr<serve::Server> threaded;
-    std::unique_ptr<serve::ReactorServer> reactor;
-    int port = 0;
-    if (flavor.reactor) {
-      serve::ReactorOptions options;
-      options.batch = flavor.batch;
-      reactor = std::make_unique<serve::ReactorServer>(&epochs, e.Pool(),
-                                                       options);
-      err = reactor->Start();
-      port = reactor ? reactor->Port() : 0;
-    } else {
-      threaded = std::make_unique<serve::Server>(&epochs, e.Pool(),
-                                                 serve::ServerOptions{});
-      err = threaded->Start();
-      port = threaded ? threaded->Port() : 0;
-    }
-    if (!err.empty()) {
-      std::fprintf(stderr, "error starting %s server: %s\n", flavor.name,
-                   err.c_str());
-      return 1;
-    }
-
-    transcripts.push_back(FetchTranscript(port, script));
-
-    const std::size_t admitted = ProbeConnectionCeiling(port, ceiling_attempts);
-    if (!flavor.reactor) threaded_admitted = admitted;
-
-    lg.port = static_cast<std::uint16_t>(port);
-    const load::SweepResult sweep =
-        load::FindMaxSustainableRps(lg, slo, start_rps, max_rps, refine);
-    const load::SweepPoint* best = nullptr;
-    for (const load::SweepPoint& point : sweep.points) {
-      if (point.meets_slo &&
-          (best == nullptr || point.rate_rps > best->rate_rps)) {
-        best = &point;
-      }
-    }
-    slo_table.Row()
-        .Cell(flavor.name)
-        .Cell(static_cast<std::uint64_t>(admitted))
-        .Cell(sweep.max_sustainable_rps, 0)
-        .Cell(best != nullptr ? best->report.p50_us : 0)
-        .Cell(best != nullptr ? best->report.p99_us : 0)
-        .Cell(best != nullptr ? best->report.p999_us : 0);
-
-    if (flavor.reactor) {
-      reactor->Stop();
-    } else {
-      threaded->Stop();
-    }
-
-    if (flavor.reactor && threaded_admitted > 0 &&
-        admitted < 4 * threaded_admitted) {
-      e.Note("** connection-ceiling gate FAILED: %s admitted %zu < 4x "
-             "threaded (%zu)",
-             flavor.name, admitted, threaded_admitted);
-      exit_code = 1;
+  const load::SweepPoint* best = nullptr;
+  for (const load::SweepPoint& point : sweep.points) {
+    if (point.meets_slo &&
+        (best == nullptr || point.rate_rps > best->rate_rps)) {
+      best = &point;
     }
   }
+  util::Table slo_table({"mode", "admitted_conns", "max_sustainable_rps",
+                         "p50_us", "p99_us", "p999_us"});
+  slo_table.Row()
+      .Cell("reactor")
+      .Cell(static_cast<std::uint64_t>(admitted))
+      .Cell(sweep.max_sustainable_rps, 0)
+      .Cell(best != nullptr ? best->report.p50_us : 0)
+      .Cell(best != nullptr ? best->report.p99_us : 0)
+      .Cell(best != nullptr ? best->report.p999_us : 0);
   e.PrintTable(slo_table);
 
-  for (std::size_t i = 1; i < transcripts.size(); ++i) {
-    if (transcripts[i] != transcripts[0]) {
-      e.Note("** byte-equivalence gate FAILED: %s transcript differs from "
-             "%s (%zu vs %zu bytes)",
-             kFlavors[i].name, kFlavors[0].name, transcripts[i].size(),
-             transcripts[0].size());
-      exit_code = 1;
-    }
+  if (admitted < ceiling_attempts) {
+    e.Note("** connection-ceiling gate FAILED: admitted %zu of %zu",
+           admitted, ceiling_attempts);
+    exit_code = 1;
   }
-  if (exit_code == 0) {
-    e.Note("byte equivalence: %zu scripted requests identical across "
-           "threaded / reactor-batch / reactor-nobatch (%zu response bytes)",
-           static_cast<std::size_t>(e.Flags().GetBool("smoke") ? 160 : 400),
-           transcripts[0].size());
+  if (transcript != expected) {
+    e.Note("** byte-equivalence gate FAILED: served transcript differs from "
+           "QueryService::Handle (%zu vs %zu bytes)",
+           transcript.size(), expected.size());
+    exit_code = 1;
+  } else {
+    e.Note("byte equivalence: %zu scripted requests identical to "
+           "QueryService::Handle (%zu response bytes)",
+           script_lines, transcript.size());
   }
 
   std::remove(topo_path.c_str());

@@ -34,7 +34,7 @@ SnapshotMetrics& Instr() {
 
 enum SectionType : std::uint32_t {
   kInfo = 1,
-  kTopology = 2,  // v1 only; loads through the GraphBuilder rebuild path
+  // 2 is retired (v1's link-list topology); do not reuse it.
   kPolicy = 3,
   kBaselines = 4,
   kCsrGraph = 5,  // v2: frozen CSR arrays, mapped zero-copy
@@ -193,37 +193,6 @@ bool ReadPolicy(ByteReader& r, bgp::PrependPolicy* policy) {
     policy->SetForNeighbor(exporter, neighbor, pads);
   }
   return true;
-}
-
-// v1 rebuild path: links re-enter a GraphBuilder and the graph is re-frozen
-// on every load (re-interning, re-ranking — work the kCsrGraph section makes
-// unnecessary). Kept only so pre-v2 snapshot files stay loadable.
-std::string ParseTopologySection(ByteReader r, topo::GraphBuilder* builder) {
-  std::uint64_t num_ases;
-  if (!r.U64(&num_ases)) return "truncated AS count";
-  for (std::uint64_t i = 0; i < num_ases; ++i) {
-    std::uint32_t asn;
-    if (!r.U32(&asn)) return "truncated AS list";
-    builder->AddAs(asn);
-  }
-  if (builder->NumAses() != num_ases) return "duplicate ASN in AS list";
-  std::uint64_t num_links;
-  if (!r.U64(&num_links)) return "truncated link count";
-  for (std::uint64_t i = 0; i < num_links; ++i) {
-    std::uint32_t a, b;
-    std::uint8_t rel;
-    if (!r.U32(&a) || !r.U32(&b) || !r.U8(&rel)) return "truncated link list";
-    if (rel > kMaxRelationByte) return "invalid relation code";
-    if (rel == static_cast<std::uint8_t>(topo::Relation::kProvider)) {
-      return "link stored from the customer side";
-    }
-    if (a == b) return "self-link";
-    if (!builder->HasAs(a) || !builder->HasAs(b)) return "link to unknown AS";
-    if (builder->RelationOf(a, b).has_value()) return "duplicate link";
-    builder->AddLink(a, b, static_cast<topo::Relation>(rel));
-  }
-  if (!r.AtEnd()) return "trailing bytes";
-  return "";
 }
 
 // The CSR section copies the frozen arrays verbatim, so the on-disk byte
@@ -574,8 +543,7 @@ std::string Snapshot::Load(const std::string& path, Snapshot& out) {
     return path + ": " + message;
   };
 
-  // Shared so the graph can keep the mapping alive past Load (the zero-copy
-  // CSR path); a v1 rebuild load drops the mapping when Load returns.
+  // Shared so the zero-copy CSR graph can keep the mapping alive past Load.
   auto file = std::make_shared<MappedFile>();
   if (std::string err = file->Open(path); !err.empty()) return fail(err);
 
@@ -595,9 +563,11 @@ std::string Snapshot::Load(const std::string& path, Snapshot& out) {
       !header.U64(&declared_size)) {
     return fail("truncated header");
   }
-  if (version == 0 || version > kSnapshotVersion) {
+  if (version != kSnapshotVersion) {
     return fail("version skew: file has version " + std::to_string(version) +
-                ", loader supports up to " + std::to_string(kSnapshotVersion));
+                ", loader supports version " +
+                std::to_string(kSnapshotVersion) +
+                " (re-compile it with asppi_snapshot)");
   }
   if (declared_size != file->Size()) {
     return fail("truncated file: header declares " +
@@ -641,18 +611,6 @@ std::string Snapshot::Load(const std::string& path, Snapshot& out) {
           return fail("info section: truncated");
         }
         loaded.info_.version = version;
-        break;
-      }
-      case kTopology: {
-        if (have_graph) return fail("duplicate graph section");
-        topo::GraphBuilder builder;
-        if (std::string err = ParseTopologySection(r, &builder);
-            !err.empty()) {
-          return fail("topology section: " + err);
-        }
-        *loaded.graph_ = builder.Freeze();
-        loaded.info_.legacy_topology = true;
-        have_graph = true;
         break;
       }
       case kCsrGraph: {

@@ -18,10 +18,9 @@
 //
 // Section types:
 //   kInfo     (1): creator string + entity counts (printed by --info)
-//   kTopology (2): v1 only — ASN list + link triples, rebuilt through
-//                  GraphBuilder on load. Deprecated: v2 writers emit
-//                  kCsrGraph instead and the rebuild path exists solely so
-//                  old snapshot files keep loading.
+//   (2):           v1's link-list topology. Retired with v1: a v1 file
+//                  fails the version check; re-compile it with
+//                  asppi_snapshot.
 //   kPolicy   (3): PrependPolicy defaults + per-neighbor overrides
 //   kBaselines(4): checkpointed converged PropagationResults
 //   kCsrGraph (5): the frozen AsGraph's CSR arrays verbatim, every array
@@ -72,10 +71,6 @@ struct SnapshotInfo {
   // ASes with a non-empty defense tag (0 when the file has no kDefense
   // section); counted from the payload at load, not trusted from the file.
   std::uint64_t num_defense_tagged = 0;
-  // True when the graph was rebuilt from a v1 kTopology section instead of
-  // mapped zero-copy from a kCsrGraph section. Re-write such snapshots with a
-  // current tool to drop the deprecated format.
-  bool legacy_topology = false;
 };
 
 // Compiles `graph` + `policy` (+ optional checkpointed `baselines`, each of

@@ -51,7 +51,7 @@ std::shared_ptr<Epoch> MakeUnownedEpoch(QueryService* service,
   auto epoch = std::make_shared<Epoch>();
   epoch->id = id;
   // Aliasing-style null deleter: the epoch pins nothing; the caller owns the
-  // service's lifetime (the legacy Server ctor contract).
+  // service's lifetime.
   epoch->service = std::shared_ptr<QueryService>(service,
                                                  [](QueryService*) {});
   return epoch;

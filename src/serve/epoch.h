@@ -5,7 +5,7 @@
 // monotonically increasing id. The EpochManager holds the current epoch
 // behind a shared_ptr; swapping in a new one is a pointer assignment under a
 // short mutex, and every in-flight request PINS the epoch it started on (the
-// threaded server pins per request, the reactor per batch). The old
+// reactor pins once per batch). The old
 // generation — snapshot mmap, graph, caches — stays alive exactly until the
 // last pinned query drops its reference, so a SIGHUP mid-burst loses
 // nothing: queries racing the swap are answered by whichever epoch they
@@ -13,9 +13,8 @@
 //
 // Two triggers feed Reload():
 //   * SIGHUP — asppi_serve's signal loop observes the flag and calls it;
-//   * the "reload" admin op — both servers intercept it via HandleAdminLine
-//     before service dispatch, so the wire behavior is byte-identical
-//     between the threaded server and the reactor.
+//   * the "reload" admin op — the reactor intercepts it via HandleAdminLine
+//     before service dispatch, at the line's position in its batch.
 // Reloads are serialized; concurrent triggers coalesce into distinct
 // sequential generations rather than racing.
 #pragma once
@@ -49,8 +48,9 @@ std::string MakeSnapshotEpoch(const std::string& path, std::uint64_t id,
                               const ServiceOptions& base,
                               std::shared_ptr<Epoch>* out);
 
-// Wraps an externally-owned service (tests, the legacy Server ctor) as epoch
-// `id` without taking ownership — the caller keeps the service alive.
+// Wraps an externally-owned service (tests, benches, asppi_serve's --topo
+// text path) as epoch `id` without taking ownership — the caller keeps the
+// service alive.
 std::shared_ptr<Epoch> MakeUnownedEpoch(QueryService* service,
                                         std::uint64_t id = 0);
 

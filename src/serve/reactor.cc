@@ -124,10 +124,9 @@ void ReactorServer::HandleBatch(const std::shared_ptr<net::Conn>& conn,
   // Admission on the loop thread: one inflight slot per BATCH, not per line.
   // A batch occupies exactly one pool worker however many lines it carries
   // (they execute serially inside it), and each connection has at most one
-  // batch in flight — so batch slots measure the same thing the threaded
-  // server's per-request gate does: concurrent demand across connections. A
-  // pipelined burst on one connection is serialized work, not concurrency,
-  // and must not trip the bound (the byte-equivalence gate pins this down).
+  // batch in flight — so batch slots measure concurrent demand across
+  // connections. A pipelined burst on one connection is serialized work, not
+  // concurrency, and must not trip the bound.
   const std::size_t slot = inflight_.fetch_add(1, std::memory_order_acq_rel);
   if (slot >= options_.max_inflight) {
     inflight_.fetch_sub(1, std::memory_order_acq_rel);
@@ -162,7 +161,7 @@ void ReactorServer::HandleBatch(const std::shared_ptr<net::Conn>& conn,
       }
     } else {
       // Admin (reload) lines execute inline at their batch position; the
-      // rest go through the service, batched or per-line.
+      // rest go through the service as one batch.
       std::vector<std::size_t> normal_index;
       std::vector<std::string> normal_lines;
       normal_index.reserve(count);
@@ -173,16 +172,10 @@ void ReactorServer::HandleBatch(const std::shared_ptr<net::Conn>& conn,
         normal_index.push_back(i);
         normal_lines.push_back(std::move(lines[i]));
       }
-      if (options_.batch) {
-        std::vector<std::string> answered =
-            epoch->service->HandleBatch(normal_lines);
-        for (std::size_t i = 0; i < normal_index.size(); ++i) {
-          responses[normal_index[i]] = std::move(answered[i]);
-        }
-      } else {
-        for (std::size_t i = 0; i < normal_index.size(); ++i) {
-          responses[normal_index[i]] = epoch->service->Handle(normal_lines[i]);
-        }
+      std::vector<std::string> answered =
+          epoch->service->HandleBatch(normal_lines);
+      for (std::size_t i = 0; i < normal_index.size(); ++i) {
+        responses[normal_index[i]] = std::move(answered[i]);
       }
     }
     const auto elapsed = std::chrono::steady_clock::now() - enqueued;

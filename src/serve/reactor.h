@@ -1,22 +1,20 @@
-// ReactorServer: QueryService behind the net:: epoll reactor.
+// ReactorServer: the TCP front end of QueryService, on the net:: reactor.
 //
-// Where the threaded Server spends a thread per connection, this front end
-// runs N event-loop shards (net::Server) and scales to connection counts
-// far beyond the thread count — perf_serve's ceiling probe gates it at >= 4x
-// the threaded server's max_connections. Each readiness event drains a
-// connection's complete request lines as ONE batch:
+// N event-loop shards (net::Server) carry connection counts far beyond the
+// thread count; perf_serve's ceiling probe holds 280 connections open under
+// the default cap. Each readiness event drains a connection's complete
+// request lines as ONE batch:
 //
 //   loop thread: admission (one inflight slot per batch — a batch is one
 //                pool worker's worth of serialized work, and each connection
-//                carries at most one, so batch slots measure cross-connection
-//                demand exactly like the threaded server's per-request gate;
-//                over the bound the whole batch is answered "overloaded") →
-//                pin the current Epoch → submit to the shared ThreadPool;
+//                carries at most one, so batch slots measure concurrent
+//                demand across connections; over the bound the whole batch
+//                is answered "overloaded") → pin the current Epoch → submit
+//                to the shared ThreadPool;
 //   pool thread: deadline check (stale batches shed wholesale), reload
-//                interception (HandleAdminLine — identical bytes to the
-//                threaded server), then QueryService::HandleBatch (batched
-//                mode: intra-batch dedup memo) or per-line Handle (unbatched
-//                — the perf_serve ablation), then conn->Reply(responses);
+//                interception (HandleAdminLine), then
+//                QueryService::HandleBatch (intra-batch dedup memo), then
+//                conn->Reply(responses);
 //   loop thread: Reply appends, flushes, dispatches the next batch.
 //
 // Per-connection ordering holds because net::Conn keeps at most one batch in
@@ -24,6 +22,10 @@
 // pinned per batch: a SIGHUP swap mid-batch means this batch answers from
 // the old generation and the next batch picks up the new one — no query is
 // ever dropped or torn across generations.
+//
+// A connection over max_connections is closed at accept without a response
+// line. Response bytes are pinned by reactor_test against a golden transcript
+// and by perf_serve against QueryService::Handle run line by line.
 #pragma once
 
 #include <atomic>
@@ -48,10 +50,6 @@ struct ReactorOptions {
   int deadline_ms = 10000;
   int slow_query_ms = 1000;
   bool log_slow_queries = true;
-  // false = per-line QueryService::Handle even when lines arrive together
-  // (the batching ablation perf_serve measures). Wire bytes are identical
-  // either way; only the amortization differs.
-  bool batch = true;
   std::size_t max_line_bytes = 64 * 1024;
   std::size_t max_write_backlog = 4 * 1024 * 1024;
 };

@@ -143,6 +143,14 @@ void LatencyHistogram::RecordNs(std::uint64_t ns) {
     ++bucket;
   }
   buckets_[bucket].fetch_add(1, std::memory_order_relaxed);
+  std::uint64_t seen = min_ns_.load(std::memory_order_relaxed);
+  while (ns < seen && !min_ns_.compare_exchange_weak(
+                          seen, ns, std::memory_order_relaxed)) {
+  }
+  seen = max_ns_.load(std::memory_order_relaxed);
+  while (ns > seen && !max_ns_.compare_exchange_weak(
+                          seen, ns, std::memory_order_relaxed)) {
+  }
 }
 
 std::uint64_t LatencyHistogram::Count() const {
@@ -178,10 +186,16 @@ double LatencyHistogram::QuantileNs(double q) const {
       const double hi = i + 1 >= kBuckets ? lo * 2.0
                                           : static_cast<double>(
                                                 std::uint64_t{1} << (i + 1));
-      const double frac =
-          counts[i] == 0 ? 0.0
-                         : (rank - before) / static_cast<double>(counts[i]);
-      return lo + (hi - lo) * std::min(1.0, std::max(0.0, frac));
+      const double frac = (rank - before) / static_cast<double>(counts[i]);
+      const double estimate =
+          lo + (hi - lo) * std::min(1.0, std::max(0.0, frac));
+      // A record lands in its bucket before it updates min/max, so a racing
+      // reader may see min > max for an instant; then skip the clamp.
+      const double min = static_cast<double>(
+          min_ns_.load(std::memory_order_relaxed));
+      const double max = static_cast<double>(
+          max_ns_.load(std::memory_order_relaxed));
+      return min <= max ? std::min(max, std::max(min, estimate)) : estimate;
     }
   }
   return static_cast<double>(std::uint64_t{1} << (kBuckets - 1));

@@ -71,10 +71,11 @@ struct Summary {
 };
 
 // Thread-safe latency histogram: power-of-two buckets over nanoseconds
-// (bucket k holds samples in [2^k, 2^(k+1))), recorded with one relaxed
-// fetch_add so concurrent serve workers never contend. Quantiles are
-// estimated by linear interpolation inside the covering bucket — at most one
-// bucket width (~2x) of error, which is what a p99 needs to be useful, not a
+// (bucket k holds samples in [2^k, 2^(k+1))), recorded with relaxed atomics
+// so concurrent serve workers never contend. Quantiles are estimated by
+// linear interpolation inside the covering bucket and then clamped to the
+// observed [min, max]: a bucket is up to 2x wide, so without the clamp a
+// tight distribution (every sample 1.1 ms) would read up to 2x high. No
 // sorted-sample store that grows with traffic.
 class LatencyHistogram {
  public:
@@ -91,6 +92,8 @@ class LatencyHistogram {
 
  private:
   std::array<std::atomic<std::uint64_t>, kBuckets> buckets_{};
+  std::atomic<std::uint64_t> min_ns_{~std::uint64_t{0}};
+  std::atomic<std::uint64_t> max_ns_{0};
 };
 
 // Mean of a vector (0 for empty).

@@ -1,11 +1,11 @@
-// serve::ReactorServer — the epoll front end — against the contracts the
-// threaded server already pins: all ops over TCP, pipelined ordering, batch
-// admission (one inflight slot per BATCH, so a pipelined burst on one
-// connection never trips the overload gate), whole-batch shedding, the
-// connection cap, graceful drain, and byte equivalence of full transcripts
-// across threaded / reactor-batched / reactor-unbatched. The epoch suites
-// cover hot reload: a swap mid-stream never drops or tears a query, and the
-// concurrent swap+query suite is a TSan target.
+// serve::ReactorServer, the TCP front end of QueryService: all ops over TCP,
+// pipelined ordering, batch admission (one inflight slot per BATCH, so a
+// pipelined burst on one connection never trips the overload gate),
+// whole-batch shedding, the connection cap, graceful drain, start/stop
+// cycles, and a full transcript byte-identical to the golden one. Concurrent
+// connections checked against QueryService::Handle are a TSan target. The
+// epoch suites cover hot reload: a swap mid-stream never drops or tears a
+// query, and the concurrent swap+query suite is a TSan target too.
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
@@ -16,6 +16,8 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <fstream>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <thread>
@@ -24,7 +26,6 @@
 #include "serve/epoch.h"
 #include "serve/protocol.h"
 #include "serve/reactor.h"
-#include "serve/server.h"
 #include "serve/service.h"
 #include "topology/generator.h"
 #include "util/json.h"
@@ -189,58 +190,91 @@ TEST_F(ReactorTest, PipelinedRequestsAnswerInOrder) {
   server.Stop();
 }
 
-// The satellite gate: identical request bytes in, identical response bytes
-// out, across the threaded server, the batched reactor, and the unbatched
-// reactor. Each flavor gets a FRESH QueryService so cold caches and health
-// counters start equal.
+TEST_F(ReactorTest, ConcurrentConnectionsGetConsistentAnswers) {
+  // TSan target: several connections in flight at once, each pinning its
+  // responses against a single-threaded reference.
+  QueryService service(gen_.graph, {});
+  EpochManager epochs;
+  epochs.Install(MakeUnownedEpoch(&service, 1));
+  ReactorServer server(&epochs, &pool_);
+  ASSERT_EQ(server.Start(), "");
+
+  QueryService reference(gen_.graph, {});
+  std::atomic<int> failures{0};
+  std::vector<std::thread> clients;
+  for (int c = 0; c < 6; ++c) {
+    clients.emplace_back([&, c] {
+      Client client(server.Port());
+      if (!client.Connected()) {
+        failures.fetch_add(1);
+        return;
+      }
+      for (int i = 0; i < 10; ++i) {
+        const std::string line = RouteLine((c + i) % 8, c % 2);
+        if (client.RoundTrip(line) != reference.Handle(line)) {
+          failures.fetch_add(1);
+        }
+      }
+    });
+  }
+  for (auto& thread : clients) thread.join();
+  EXPECT_EQ(failures.load(), 0);
+
+  server.Stop();
+  const ServerStats stats = server.Stats();
+  EXPECT_EQ(stats.accepted, 6u);
+  EXPECT_EQ(stats.overload_rejects, 0u);
+}
+
+TEST_F(ReactorTest, StartStopCyclesDoNotLeakState) {
+  QueryService service(gen_.graph, {});
+  EpochManager epochs;
+  epochs.Install(MakeUnownedEpoch(&service, 1));
+  for (int i = 0; i < 3; ++i) {
+    ReactorServer server(&epochs, &pool_);
+    ASSERT_EQ(server.Start(), "") << "cycle " << i;
+    Client client(server.Port());
+    ASSERT_TRUE(client.Connected());
+    EXPECT_TRUE(
+        MustParse(client.RoundTrip(R"({"op":"health"})")).Find("ok")->AsBool());
+    server.Stop();
+  }
+}
+
+// Identical request bytes in, identical response bytes out: the script's
+// transcript must equal tests/golden/serve_transcript.golden, written by the
+// thread-per-connection server that preceded the reactor, on a fresh
+// QueryService like this one. The script covers duplicates (the batch dedup
+// memo), a malformed line and a reload without a reloader.
 TEST_F(ReactorTest, TranscriptsAreByteIdenticalAcrossServers) {
   std::string script;
   for (int i = 0; i < 6; ++i) script += ImpactLine(i, i % 4) + "\n";
   for (int i = 0; i < 4; ++i) script += RouteLine(i + 6, i % 4) + "\n";
-  // Duplicates exercise the batch dedup memo; the malformed line and the
-  // reload-without-a-reloader error must also match byte for byte.
   for (int i = 0; i < 3; ++i) script += ImpactLine(0, 0) + "\n";
   script += "{\"op\":\"impact\",\"victim\":1}\n";
   script += "{\"op\":\"reload\"}\n";
   script += "{\"op\":\"health\"}\n";
-  const std::size_t expected_lines = 16;
 
-  std::vector<std::string> transcripts;
-  for (const int flavor : {0, 1, 2}) {
-    QueryService service(gen_.graph, {});
-    EpochManager epochs;
-    epochs.Install(MakeUnownedEpoch(&service, 1));
-    std::unique_ptr<Server> threaded;
-    std::unique_ptr<ReactorServer> reactor;
-    int port = 0;
-    if (flavor == 0) {
-      threaded = std::make_unique<Server>(&epochs, &pool_);
-      ASSERT_EQ(threaded->Start(), "");
-      port = threaded->Port();
-    } else {
-      ReactorOptions options;
-      options.batch = flavor == 1;
-      reactor = std::make_unique<ReactorServer>(&epochs, &pool_, options);
-      ASSERT_EQ(reactor->Start(), "");
-      port = reactor->Port();
-    }
+  std::ifstream in(std::string(ASPPI_TESTS_DIR) +
+                       "/golden/serve_transcript.golden",
+                   std::ios::binary);
+  ASSERT_TRUE(in.is_open()) << "missing tests/golden/serve_transcript.golden";
+  const std::string golden((std::istreambuf_iterator<char>(in)),
+                           std::istreambuf_iterator<char>());
 
-    Client client(port);
-    ASSERT_TRUE(client.Connected());
-    ASSERT_TRUE(client.SendRaw(script));
-    client.ShutdownWrite();
-    transcripts.push_back(client.ReadAll());
+  QueryService service(gen_.graph, {});
+  EpochManager epochs;
+  epochs.Install(MakeUnownedEpoch(&service, 1));
+  ReactorServer server(&epochs, &pool_);
+  ASSERT_EQ(server.Start(), "");
+  Client client(server.Port());
+  ASSERT_TRUE(client.Connected());
+  ASSERT_TRUE(client.SendRaw(script));
+  client.ShutdownWrite();
+  const std::string transcript = client.ReadAll();
+  server.Stop();
 
-    if (threaded != nullptr) threaded->Stop();
-    if (reactor != nullptr) reactor->Stop();
-  }
-
-  ASSERT_EQ(transcripts.size(), 3u);
-  std::size_t newlines = 0;
-  for (char c : transcripts[0]) newlines += c == '\n' ? 1 : 0;
-  EXPECT_EQ(newlines, expected_lines);
-  EXPECT_EQ(transcripts[0], transcripts[1]) << "threaded vs reactor-batch";
-  EXPECT_EQ(transcripts[0], transcripts[2]) << "threaded vs reactor-nobatch";
+  EXPECT_EQ(transcript, golden);
 }
 
 // Admission charges one slot per BATCH: a deep pipelined burst on a single
@@ -316,9 +350,7 @@ TEST_F(ReactorTest, RejectsConnectionsBeyondTheCap) {
   ASSERT_TRUE(first.Connected());
   ASSERT_NE(first.RoundTrip(R"({"op":"health"})"), "");
 
-  // The reactor's transport closes an over-cap connection at accept time
-  // without a response line (the threaded server, which already has a
-  // per-connection thread at that point, says "overloaded" first).
+  // An over-cap connection is closed at accept time without a response.
   Client second(server.Port());
   ASSERT_TRUE(second.Connected());
   second.Send(R"({"op":"health"})");
@@ -419,8 +451,8 @@ TEST_F(ReactorReloadTest, ReloadSwapsEpochsWithoutDroppingQueries) {
   ASSERT_TRUE(client.Connected());
   EXPECT_EQ(client.RoundTrip(line), from_a);
 
-  // The admin op swaps generations over the same wire protocol both servers
-  // share; the response names the new epoch.
+  // The admin op swaps generations over the wire protocol; the response
+  // names the new epoch.
   const util::Json ack = MustParse(client.RoundTrip(R"({"op":"reload"})"));
   EXPECT_TRUE(ack.Find("ok")->AsBool());
   EXPECT_EQ(ack.Find("epoch")->AsDouble(), 2.0);

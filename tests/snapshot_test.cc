@@ -387,7 +387,7 @@ TEST(Snapshot, LoadRejectsFlippedPayloadBits) {
   std::remove(flip_path.c_str());
 }
 
-// --- v2 format: CSR section + v1 legacy rebuild -----------------------------
+// --- v2 format: CSR section; v1 files rejected ------------------------------
 
 TEST(Snapshot, V2LoadIsNotLegacy) {
   const auto gen = SmallTopology();
@@ -396,7 +396,6 @@ TEST(Snapshot, V2LoadIsNotLegacy) {
   Snapshot snapshot;
   ASSERT_EQ(Snapshot::Load(path, snapshot), "");
   EXPECT_EQ(snapshot.Info().version, 2u);
-  EXPECT_FALSE(snapshot.Info().legacy_topology);
   std::remove(path.c_str());
 }
 
@@ -415,9 +414,9 @@ TEST(Snapshot, GraphOutlivesTheSnapshotFile) {
 
 namespace v1 {
 
-// Mini writer replicating the v1 format (byte-packed LE, kTopology section)
-// so the deprecated rebuild path stays covered now that the production
-// writer only emits v2.
+// Mini writer replicating the v1 format (byte-packed LE, kTopology section),
+// so a well-formed v1 file can be shown to fail the version check now that
+// the loader has no v1 rebuild path.
 void U32(std::string& out, std::uint32_t v) {
   for (int i = 0; i < 4; ++i) out.push_back(static_cast<char>(v >> (8 * i)));
 }
@@ -471,30 +470,16 @@ std::string BuildFile(const topo::AsGraph& graph, const std::string& creator) {
 
 }  // namespace v1
 
-TEST(Snapshot, V1FileLoadsThroughTheRebuildPath) {
+TEST(Snapshot, V1FileIsRejectedByVersion) {
   const auto gen = SmallTopology(23);
   const std::string path = TempPath("v1.snap");
   WriteFile(path, v1::BuildFile(gen.graph, "legacy_tool"));
 
   Snapshot snapshot;
-  ASSERT_EQ(Snapshot::Load(path, snapshot), "");
-  EXPECT_EQ(snapshot.Info().version, 1u);
-  EXPECT_TRUE(snapshot.Info().legacy_topology);
-  EXPECT_EQ(snapshot.Info().creator, "legacy_tool");
-  EXPECT_TRUE(SameGraph(gen.graph, snapshot.Graph()));
-  std::remove(path.c_str());
-}
-
-TEST(Snapshot, V1CorruptTopologyStillRejected) {
-  const auto gen = SmallTopology(23);
-  std::string bytes = v1::BuildFile(gen.graph, "legacy_tool");
-  // Flip a payload byte well past the header+table region: the section CRC
-  // check must catch it on the legacy path too.
-  bytes[bytes.size() - 3] = static_cast<char>(bytes[bytes.size() - 3] ^ 0x10);
-  const std::string path = TempPath("v1corrupt.snap");
-  WriteFile(path, bytes);
-  Snapshot snapshot;
-  EXPECT_NE(Snapshot::Load(path, snapshot), "");
+  const std::string err = Snapshot::Load(path, snapshot);
+  EXPECT_NE(err.find("version skew: file has version 1"), std::string::npos)
+      << err;
+  EXPECT_NE(err.find("asppi_snapshot"), std::string::npos) << err;
   std::remove(path.c_str());
 }
 

@@ -588,6 +588,15 @@ TEST(LatencyHistogram, QuantilesBracketRecordedValues) {
   EXPECT_EQ(histogram.QuantileNs(0.0), histogram.QuantileNs(0.0));  // no NaN
 }
 
+TEST(LatencyHistogram, QuantilesClampToTheObservedRange) {
+  // Every sample sits in one power-of-two bucket, [2^20, 2^21) ns; bucket
+  // interpolation alone would report p50 ~1.57 ms and p99 ~2.09 ms.
+  LatencyHistogram histogram;
+  for (int i = 0; i < 1000; ++i) histogram.RecordNs(1100000);
+  EXPECT_NEAR(histogram.QuantileNs(0.50), 1100000.0, 1000.0);
+  EXPECT_NEAR(histogram.QuantileNs(0.99), 1100000.0, 1000.0);
+}
+
 TEST(LatencyHistogram, EmptyIsZero) {
   LatencyHistogram histogram;
   EXPECT_EQ(histogram.Count(), 0u);
